@@ -1,9 +1,13 @@
 //! Structural and behavioural analysis of Petri nets.
 //!
-//! Provides the incidence matrix, P- and T-invariants (via rational Gaussian
-//! elimination of the incidence matrix kernel), conservation, behavioural
+//! Provides the incidence matrix, P- and T-invariants (via Farkas
+//! elimination of the incidence matrix), conservation, behavioural
 //! boundedness/safeness, and the liveness levels used when verifying the
 //! compiled DOCPN presentation nets.
+
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -96,82 +100,118 @@ impl IncidenceMatrix {
         }
     }
 
-    /// Computes a basis of the left null space `{y : yᵀ·C = 0}` restricted to
-    /// non-negative integer vectors found by the Farkas-style elimination.
-    /// For P-invariants call on the matrix itself; for T-invariants call on
-    /// the transpose.
+    /// Runs the Farkas elimination on this matrix and returns the B part of
+    /// every row left in its table, in table order, skipping zero rows.
+    ///
+    /// Each returned `y` is a non-negative integer vector with `yᵀ·C = 0`.
+    /// The set is not minimal and, on nets whose table grows past
+    /// [`FARKAS_ROW_CAP`] rows, not complete either: rows past the cap are
+    /// dropped after every column. A combination whose entries overflow
+    /// `i64` is dropped too. For P-invariants call on the matrix itself; for
+    /// T-invariants call on the transpose.
     pub fn nonnegative_kernel(&self) -> Vec<Vec<u64>> {
         // Farkas algorithm: maintain a table [D | B], D initialised to C and
         // B to the identity; eliminate one column of D at a time by forming
-        // non-negative combinations of rows with opposite signs.
+        // non-negative combinations of rows with opposite signs. Each row is
+        // one `D ‖ B` slice, shared between the ordered table and the set
+        // that deduplicates it.
         let n = self.rows;
         let m = self.cols;
-        // Each row: (d: Vec<i64> of len m, b: Vec<i64> of len n)
-        let mut table: Vec<(Vec<i64>, Vec<i64>)> = (0..n)
+        let mut table: Vec<Rc<[i64]>> = (0..n)
             .map(|i| {
-                let d: Vec<i64> = (0..m).map(|j| self.entries[i * m + j]).collect();
-                let mut b = vec![0i64; n];
-                b[i] = 1;
-                (d, b)
+                let mut row = self.entries[i * m..(i + 1) * m].to_vec();
+                row.resize(m + n, 0);
+                row[m + i] = 1;
+                row.into()
             })
             .collect();
+        let mut combined = Vec::with_capacity(m + n);
 
         for col in 0..m {
-            let mut next: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
-            // Keep rows with zero in this column.
-            for row in &table {
-                if row.0[col] == 0 {
-                    next.push(row.clone());
+            let mut next = Vec::new();
+            let mut positives = Vec::new();
+            let mut negatives = Vec::new();
+            for row in table {
+                match row[col].cmp(&0) {
+                    Ordering::Equal => next.push(row),
+                    Ordering::Greater => positives.push(row),
+                    Ordering::Less => negatives.push(row),
                 }
             }
-            // Combine rows with opposite signs.
-            let positives: Vec<&(Vec<i64>, Vec<i64>)> =
-                table.iter().filter(|r| r.0[col] > 0).collect();
-            let negatives: Vec<&(Vec<i64>, Vec<i64>)> =
-                table.iter().filter(|r| r.0[col] < 0).collect();
-            for p in &positives {
+            let mut seen: HashSet<Rc<[i64]>> = next.iter().cloned().collect();
+            'combine: for p in &positives {
                 for q in &negatives {
-                    let a = p.0[col];
-                    let b = -q.0[col];
-                    let g = gcd(a as u64, b as u64) as i64;
-                    let (ca, cb) = (b / g, a / g);
-                    let d: Vec<i64> =
-                        p.0.iter()
-                            .zip(q.0.iter())
-                            .map(|(x, y)| ca * x + cb * y)
-                            .collect();
-                    let bv: Vec<i64> =
-                        p.1.iter()
-                            .zip(q.1.iter())
-                            .map(|(x, y)| ca * x + cb * y)
-                            .collect();
-                    // Normalize D and B *jointly* so the row combination they
-                    // describe stays consistent.
-                    let row = normalize_row(d, bv);
-                    if !next.contains(&row) {
+                    // Rows past the cap are truncated below, so stop making
+                    // them.
+                    if next.len() >= FARKAS_ROW_CAP {
+                        break 'combine;
+                    }
+                    if combine(p, q, col, &mut combined) && !seen.contains(&combined[..]) {
+                        let row: Rc<[i64]> = combined.as_slice().into();
+                        seen.insert(Rc::clone(&row));
                         next.push(row);
                     }
                 }
             }
+            next.truncate(FARKAS_ROW_CAP);
             table = next;
-            // Guard against combinatorial blow-up on pathological nets.
-            if table.len() > 4096 {
-                table.truncate(4096);
-            }
         }
 
-        let mut result: Vec<Vec<u64>> = Vec::new();
-        for (_, b) in table {
-            if b.iter().all(|&x| x == 0) {
-                continue;
-            }
-            let v: Vec<u64> = b.iter().map(|&x| x.max(0) as u64).collect();
-            if !result.contains(&v) {
-                result.push(v);
-            }
-        }
-        result
+        let mut seen = HashSet::new();
+        table
+            .iter()
+            .map(|row| &row[m..])
+            .filter(|b| b.iter().any(|&x| x != 0) && seen.insert(*b))
+            .map(|b| {
+                b.iter()
+                    .map(|&x| u64::try_from(x).expect("B rows are non-negative combinations"))
+                    .collect()
+            })
+            .collect()
     }
+}
+
+/// Rows the Farkas table of [`IncidenceMatrix::nonnegative_kernel`] keeps
+/// after each column; later rows are dropped. It bounds the elimination on
+/// nets whose table grows combinatorially, and it is fixed: another value
+/// changes which invariants are returned.
+pub const FARKAS_ROW_CAP: usize = 4096;
+
+/// Writes into `out` the combination of `p` (positive in `col`) and `q`
+/// (negative in `col`) that cancels `col`, divided by the greatest common
+/// divisor of all its entries so the D and B parts stay consistent.
+///
+/// Returns `false`, leaving `out` unspecified, when an entry overflows `i64`.
+fn combine(p: &[i64], q: &[i64], col: usize, out: &mut Vec<i64>) -> bool {
+    let (a, b) = (p[col].unsigned_abs(), q[col].unsigned_abs());
+    let g = gcd(a, b);
+    let (Ok(ca), Ok(cb)) = (i64::try_from(b / g), i64::try_from(a / g)) else {
+        return false;
+    };
+    out.clear();
+    let mut divisor = 0u64;
+    for (&x, &y) in p.iter().zip(q) {
+        let Some(v) = ca
+            .checked_mul(x)
+            .zip(cb.checked_mul(y))
+            .and_then(|(x, y)| x.checked_add(y))
+        else {
+            return false;
+        };
+        if v != 0 && divisor != 1 {
+            divisor = gcd(divisor, v.unsigned_abs());
+        }
+        out.push(v);
+    }
+    // `divisor` divides the B part, a non-zero non-negative `i64` vector, so
+    // it fits in `i64`.
+    if divisor > 1 {
+        let divisor = divisor as i64;
+        for v in out.iter_mut() {
+            *v /= divisor;
+        }
+    }
+    true
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -192,24 +232,6 @@ fn normalize(v: Vec<i64>) -> Vec<i64> {
         v
     } else {
         v.into_iter().map(|x| x / g as i64).collect()
-    }
-}
-
-/// Divides a combined Farkas row (its D part and its B part) by the greatest
-/// common divisor of *all* its entries, keeping the two parts consistent.
-fn normalize_row(d: Vec<i64>, b: Vec<i64>) -> (Vec<i64>, Vec<i64>) {
-    let g = d
-        .iter()
-        .chain(b.iter())
-        .filter(|&&x| x != 0)
-        .fold(0u64, |acc, &x| gcd(acc, x.unsigned_abs()));
-    if g <= 1 {
-        (d, b)
-    } else {
-        (
-            d.into_iter().map(|x| x / g as i64).collect(),
-            b.into_iter().map(|x| x / g as i64).collect(),
-        )
     }
 }
 
@@ -260,9 +282,12 @@ pub struct AnalysisReport {
     pub state_count: usize,
     /// Whether the exploration covered the full state space.
     pub exploration_complete: bool,
-    /// P-invariants found (semi-positive basis).
+    /// P-invariants found: every non-zero B row of the Farkas table of the
+    /// incidence matrix, in table order, truncated at [`FARKAS_ROW_CAP`]
+    /// rows (see [`IncidenceMatrix::nonnegative_kernel`]). Not a basis.
     pub p_invariants: Vec<PInvariant>,
-    /// T-invariants found (semi-positive basis).
+    /// T-invariants found: the same rows for the transposed incidence
+    /// matrix.
     pub t_invariants: Vec<TInvariant>,
     /// Whether the net is conservative (covered by a positive P-invariant).
     pub conservative: bool,
@@ -531,6 +556,53 @@ mod tests {
         let m0 = Marking::from_pairs(net.place_count(), &[(p, 1)]);
         let report = analyze(&net, &m0, ReachabilityLimits::default()).unwrap();
         assert!(report.has_deadlock);
+    }
+
+    #[test]
+    fn kernel_drops_combinations_that_overflow() {
+        // Two places swapping tokens through arcs of about 2^40: cancelling
+        // either column multiplies weights into about 2^81. A separate unit
+        // cycle keeps one invariant of each kind.
+        let mut b = NetBuilder::new("heavy");
+        let a = b.place("a");
+        let c = b.place("c");
+        let x = b.place("x");
+        let y = b.place("y");
+        let t0 = b.transition("t0");
+        let t1 = b.transition("t1");
+        let u0 = b.transition("u0");
+        let u1 = b.transition("u1");
+        b.arc_in(a, t0, (1 << 40) + 1);
+        b.arc_out(t0, c, (1 << 40) + 3);
+        b.arc_in(c, t1, (1 << 41) + 5);
+        b.arc_out(t1, a, (1 << 41) + 7);
+        b.arc_in(x, u0, 1);
+        b.arc_out(u0, y, 1);
+        b.arc_in(y, u1, 1);
+        b.arc_out(u1, x, 1);
+        let net = b.build().unwrap();
+        let inc = IncidenceMatrix::of(&net);
+
+        let p = inc.nonnegative_kernel();
+        assert_eq!(p, vec![vec![0, 0, 1, 1]]);
+        for y in &p {
+            for t in 0..inc.cols() {
+                let dot: i128 = (0..inc.rows())
+                    .map(|r| y[r] as i128 * inc.entry(PlaceId(r), TransitionId(t)) as i128)
+                    .sum();
+                assert_eq!(dot, 0, "P-invariant {y:?}");
+            }
+        }
+        let t = inc.transpose().nonnegative_kernel();
+        assert_eq!(t, vec![vec![0, 0, 1, 1]]);
+        for x in &t {
+            for p in 0..inc.rows() {
+                let dot: i128 = (0..inc.cols())
+                    .map(|c| inc.entry(PlaceId(p), TransitionId(c)) as i128 * x[c] as i128)
+                    .sum();
+                assert_eq!(dot, 0, "T-invariant {x:?}");
+            }
+        }
     }
 
     #[test]
